@@ -4,9 +4,9 @@ Times one evaluation sweep (top-1 accuracy on a shared test set) for a
 homogeneous cohort of B={COHORT} devices two ways: the historical
 per-device loop (:func:`~repro.federated.trainer.evaluate_accuracy` once
 per device, each a chain of small no-grad forwards) and the fused path
-(:class:`~repro.nn.BatchedEvaluator`: all B parameter sets stacked on a
-leading axis, the shared batch broadcast across the cohort, one stacked
-forward per test batch).  The fused path performs the same float64
+(one eval-mode :class:`~repro.nn.BatchedModule`: all B parameter sets
+stacked on a leading axis, the shared batch broadcast across the cohort,
+one stacked forward per test batch).  The fused path performs the same float64
 arithmetic per cohort slice — it is pinned bit-identical by
 ``tests/federated/test_eval_fusion.py`` — so any speedup is pure
 Python/dispatch-overhead amortization plus larger BLAS calls, exactly the
@@ -41,7 +41,7 @@ from conftest import bench_environment  # noqa: E402
 from repro.datasets.base import ImageDataset  # noqa: E402
 from repro.federated.trainer import evaluate_accuracy  # noqa: E402
 from repro.models.simple import FullyConnected, LeNet, SimpleCNN  # noqa: E402
-from repro.nn import BatchedEvaluator  # noqa: E402
+from repro.nn import BatchedModule  # noqa: E402
 
 TARGET_SPEEDUP = 2.0
 COHORT = 8
@@ -81,12 +81,12 @@ def _time_fused(factory, dataset):
     template = factory(seed=0)
     start = time.perf_counter()
     correct = np.zeros(COHORT)
-    with BatchedEvaluator(template, states) as evaluator:
-        for begin in range(0, len(dataset), EVAL_BATCH):
-            images = dataset.images[begin:begin + EVAL_BATCH]
-            labels = dataset.labels[begin:begin + EVAL_BATCH]
-            logits = evaluator.predict(images)  # (B, N, C)
-            correct += (logits.argmax(axis=-1) == labels[None, :]).sum(axis=-1)
+    module = BatchedModule(template, states, requires_grad=False).eval()
+    for begin in range(0, len(dataset), EVAL_BATCH):
+        images = dataset.images[begin:begin + EVAL_BATCH]
+        labels = dataset.labels[begin:begin + EVAL_BATCH]
+        logits = module.predict(np.broadcast_to(images, (COHORT,) + images.shape))
+        correct += (logits.argmax(axis=-1) == labels[None, :]).sum(axis=-1)
     accuracies = (correct / len(dataset)).tolist()
     return time.perf_counter() - start, accuracies
 

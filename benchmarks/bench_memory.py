@@ -1,36 +1,25 @@
-"""Memory benchmark: temporary allocations per fused device-step, A/B'd.
+"""Memory benchmark: transient allocations of the pooled autograd path.
 
-Trains one fused cohort of B={COHORT} devices (``BatchedModule`` +
-``BatchedSGD``) through a warmed steady-state step loop twice:
+Two sections, each gated by an absolute per-workload ceiling in bytes:
 
-* **optimized** — the defaults this repo ships: allocation-free gradient
-  accumulation (in-place ``+=`` into persistent ``.grad`` buffers adopted
-  on first touch), ``zero_grad(set_to_none=False)``, and im2col/grad-cols
-  scratch reuse through the thread-local :class:`~repro.nn.BufferPool`.
-* **legacy** — the pre-optimization behaviour, recreated via
-  ``set_allocation_free(False)`` + ``set_pooling(False)`` +
-  ``zero_grad(set_to_none=True)``: every backward step re-allocates its
-  gradient arrays and im2col scratch from scratch.
-
-Both paths compute bit-identical values (pinned by the nn test suite); the
-only difference tracemalloc can see is allocation churn.  The measurement
-is peak-traced-bytes minus steady-state baseline across the step loop —
-i.e. the transient working set the allocator must service per step —
-normalized per fused device-step.
-
-A second section A/B's the **pooled forward pass**: the same training step
-loop on a single (serial) model with forward activations fed from the
-per-thread :class:`~repro.nn.BufferPool` (``set_forward_pooling(True)``,
-the default) versus freshly allocated every step
-(``set_forward_pooling(False)``).  Pooled forward buffers are released at
-backward reclaim, so in steady state the forward pass recycles one step's
-activations instead of re-allocating them.
+* **fused device-step** — trains one fused cohort of B={COHORT} devices
+  (``BatchedModule`` + ``BatchedSGD``) through a warmed steady-state step
+  loop.  Gradients accumulate in place into persistent ``.grad`` buffers
+  (``zero_grad(set_to_none=False)``) and im2col / grad-cols scratch comes
+  from the thread-local :class:`~repro.nn.BufferPool`.  The measurement is
+  peak traced bytes minus the steady-state baseline across the step loop,
+  i.e. the transient working set the allocator must service per step,
+  normalized per fused device-step.
+* **forward** — the same training step loop on a single (serial) model,
+  measuring only the ``model(...)`` call.  Training forwards write their
+  outputs into pooled buffers that backward reclaims, so in steady state a
+  forward recycles the previous step's activations.
 
 The benchmark **asserts** its regression guards (exit code 1 on violation,
-so CI fails loudly): the optimized path must allocate at least
-{TARGET_REDUCTION:.0%} less transient memory per fused device-step than
-the legacy path, and pooled forwards must cut the serial step's transient
-bytes by at least {FORWARD_TARGET_REDUCTION:.0%}.
+so CI fails loudly): no workload may exceed its ceiling in either section.
+Each ceiling is the largest value measured over 12 runs of the v1.8.0
+release (Linux x86_64, CPython 3.11, numpy 2.4), so a change that adds a
+per-step allocation to the training hot path fails the gate.
 
 Not a pytest file on purpose (no ``test_`` prefix): run it directly with
 
@@ -56,13 +45,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from conftest import bench_environment  # noqa: E402
 
 from repro.models.simple import FullyConnected, LeNet, SimpleCNN  # noqa: E402
-from repro.nn import (  # noqa: E402
-    SGD,
-    Tensor,
-    set_allocation_free,
-    set_forward_pooling,
-    set_pooling,
-)
+from repro.nn import SGD, Tensor, scratch_pool  # noqa: E402
 from repro.nn.batched import (  # noqa: E402
     BatchedModule,
     BatchedSGD,
@@ -70,8 +53,6 @@ from repro.nn.batched import (  # noqa: E402
 )
 from repro.nn.losses import cross_entropy  # noqa: E402
 
-TARGET_REDUCTION = 0.5
-FORWARD_TARGET_REDUCTION = 0.3
 COHORT = 8
 INPUT_SHAPE = (3, 8, 8)
 NUM_CLASSES = 4
@@ -79,8 +60,11 @@ BATCH_SIZE = 8
 LR, MOMENTUM = 0.05, 0.9
 WARMUP_STEPS = 3
 
-__doc__ = __doc__.format(TARGET_REDUCTION=TARGET_REDUCTION, COHORT=COHORT,
-                         FORWARD_TARGET_REDUCTION=FORWARD_TARGET_REDUCTION)
+# Transient bytes per fused device-step and per serial training forward.
+STEP_CEILINGS = {"fully_connected": 14_675, "lenet": 136_102, "simple_cnn": 145_786}
+FORWARD_CEILINGS = {"fully_connected": 14_946, "lenet": 33_012, "simple_cnn": 81_158}
+
+__doc__ = __doc__.format(COHORT=COHORT)
 
 WORKLOADS = {
     "fully_connected": lambda seed: FullyConnected(
@@ -98,92 +82,90 @@ def _cohort_data(rng, steps):
     return images, labels
 
 
-def _step(module, optimizer, images, labels, set_to_none):
-    optimizer.zero_grad(set_to_none=set_to_none)
+def _step(module, optimizer, images, labels):
+    optimizer.zero_grad(set_to_none=False)
     loss_vec = batched_cross_entropy(module(Tensor(images)), labels)
     loss_vec.sum().backward()
     optimizer.step()
 
 
-def _measure_mode(factory, steps, optimized):
-    """Peak transient traced bytes across a warmed fused step loop.
+def _measure_step(factory, steps):
+    """Peak transient traced bytes per device-step across a warmed fused loop."""
+    scratch_pool().reset()
+    rng = np.random.default_rng(23)
+    images, labels = _cohort_data(rng, WARMUP_STEPS + steps)
+    states = [factory(seed=index).state_dict() for index in range(COHORT)]
+    module = BatchedModule(factory(seed=0), states)
+    module.train()
+    optimizer = BatchedSGD(module.parameters(), COHORT, lr=LR, momentum=MOMENTUM)
 
-    Toggles are restored before returning so one mode cannot leak its
-    policy into the other (or into anything else running in-process).
-    """
-    previous_alloc = set_allocation_free(optimized)
-    previous_pool = set_pooling(optimized)
-    set_to_none = not optimized
-    try:
-        rng = np.random.default_rng(23)
-        images, labels = _cohort_data(rng, WARMUP_STEPS + steps)
-        states = [factory(seed=index).state_dict() for index in range(COHORT)]
-        module = BatchedModule(factory(seed=0), states)
-        module.train()
-        optimizer = BatchedSGD(module.parameters(), COHORT, lr=LR, momentum=MOMENTUM)
-
-        tracemalloc.start()
-        # Warm-up establishes the steady state each mode is entitled to:
-        # persistent grad buffers and pooled scratch for the optimized
-        # path, nothing for the legacy path.
-        for step in range(WARMUP_STEPS):
-            _step(module, optimizer, images[step], labels[step], set_to_none)
-        gc.collect()
-        tracemalloc.reset_peak()
-        baseline = tracemalloc.get_traced_memory()[0]
-        for step in range(WARMUP_STEPS, WARMUP_STEPS + steps):
-            _step(module, optimizer, images[step], labels[step], set_to_none)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        # Temporaries die within the step that made them, so the loop peak
-        # is one step's transient working set, not ``steps`` of them.
-        return max(peak - baseline, 0) / COHORT
-    finally:
-        set_allocation_free(previous_alloc)
-        set_pooling(previous_pool)
+    tracemalloc.start()
+    # Warm-up establishes the steady state: persistent grad buffers and
+    # pooled scratch.
+    for step in range(WARMUP_STEPS):
+        _step(module, optimizer, images[step], labels[step])
+    gc.collect()
+    tracemalloc.reset_peak()
+    baseline = tracemalloc.get_traced_memory()[0]
+    for step in range(WARMUP_STEPS, WARMUP_STEPS + steps):
+        _step(module, optimizer, images[step], labels[step])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # Temporaries die within the step that made them, so the loop peak
+    # is one step's transient working set, not ``steps`` of them.
+    return max(peak - baseline, 0) / COHORT
 
 
-def _measure_forward_mode(factory, steps, pooled):
-    """Transient traced bytes of the *forward pass* in a serial train loop.
+def _measure_forward(factory, steps):
+    """Worst transient traced bytes of one *forward pass* in a serial train loop.
 
     Only the ``model(...)`` call is inside the measurement window; the
     loss, backward, and optimizer step run between windows so backward
     reclaim can recycle pooled activations for the next forward.
-    Allocation-free accumulation and scratch pooling stay at their
-    defaults in both modes — the delta isolates what feeding forward
-    activations from the :class:`~repro.nn.BufferPool` saves.
     """
-    previous = set_forward_pooling(pooled)
-    try:
-        rng = np.random.default_rng(29)
-        images, labels = _cohort_data(rng, WARMUP_STEPS + steps)
-        model = factory(seed=0)
-        model.train()
-        optimizer = SGD(model.parameters(), lr=LR, momentum=MOMENTUM)
+    scratch_pool().reset()
+    rng = np.random.default_rng(29)
+    images, labels = _cohort_data(rng, WARMUP_STEPS + steps)
+    model = factory(seed=0)
+    model.train()
+    optimizer = SGD(model.parameters(), lr=LR, momentum=MOMENTUM)
 
-        def rest_of_step(index, out):
-            loss = cross_entropy(out, labels[index, 0])
-            loss.backward()
-            optimizer.step()
+    def rest_of_step(index, out):
+        loss = cross_entropy(out, labels[index, 0])
+        loss.backward()
+        optimizer.step()
 
-        tracemalloc.start()
-        for index in range(WARMUP_STEPS):
-            optimizer.zero_grad(set_to_none=False)
-            rest_of_step(index, model(Tensor(images[index, 0])))
-        gc.collect()
-        worst = 0
-        for index in range(WARMUP_STEPS, WARMUP_STEPS + steps):
-            optimizer.zero_grad(set_to_none=False)
-            tracemalloc.reset_peak()
-            baseline = tracemalloc.get_traced_memory()[0]
-            out = model(Tensor(images[index, 0]))
-            peak = tracemalloc.get_traced_memory()[1]
-            worst = max(worst, peak - baseline)
-            rest_of_step(index, out)
-        tracemalloc.stop()
-        return max(worst, 0)
-    finally:
-        set_forward_pooling(previous)
+    tracemalloc.start()
+    for index in range(WARMUP_STEPS):
+        optimizer.zero_grad(set_to_none=False)
+        rest_of_step(index, model(Tensor(images[index, 0])))
+    gc.collect()
+    worst = 0
+    for index in range(WARMUP_STEPS, WARMUP_STEPS + steps):
+        optimizer.zero_grad(set_to_none=False)
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        out = model(Tensor(images[index, 0]))
+        peak = tracemalloc.get_traced_memory()[1]
+        worst = max(worst, peak - baseline)
+        rest_of_step(index, out)
+    tracemalloc.stop()
+    return max(worst, 0)
+
+
+def _section(title, unit, measure, ceilings, steps, failures):
+    print(title)
+    results = []
+    for name, factory in sorted(WORKLOADS.items()):
+        measured = measure(factory, steps)
+        ceiling = ceilings[name]
+        results.append({"workload": name, f"bytes_per_{unit}": measured,
+                        "ceiling": ceiling})
+        print(f"  {name:16s} {measured:12,.1f} B/{unit}  ceiling {ceiling:10,d} B  "
+              f"{'ok' if measured <= ceiling else 'OVER'}")
+        if measured > ceiling:
+            failures.append(f"{unit}/{name}: {measured:,.1f} B > ceiling {ceiling:,d} B")
+    return results
 
 
 def main(argv=None) -> int:
@@ -191,55 +173,21 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smaller workload (sanity check, not a real measurement)")
     parser.add_argument("--steps", type=int, default=None,
-                        help="measured training steps per mode")
+                        help="measured training steps per workload")
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_memory.json"))
     args = parser.parse_args(argv)
 
     steps = args.steps if args.steps is not None else (3 if args.quick else 10)
     enforce = not args.quick
 
-    print(f"memory benchmark: B={COHORT} fused devices, batch {BATCH_SIZE}, "
-          f"{steps} measured steps, target >= {TARGET_REDUCTION:.0%} fewer "
-          f"transient bytes per device-step")
-
-    results = []
     failures = []
-    for name, factory in sorted(WORKLOADS.items()):
-        legacy = _measure_mode(factory, steps, optimized=False)
-        optimized = _measure_mode(factory, steps, optimized=True)
-        reduction = 1.0 - optimized / legacy if legacy else 0.0
-        results.append({
-            "workload": name,
-            "legacy_bytes_per_device_step": legacy,
-            "optimized_bytes_per_device_step": optimized,
-            "reduction": reduction,
-        })
-        print(f"  {name:16s} legacy {legacy / 1024:8.1f} KiB/device-step  "
-              f"optimized {optimized / 1024:8.1f} KiB/device-step  "
-              f"reduction {reduction:6.1%}")
-        if reduction < TARGET_REDUCTION:
-            failures.append(f"{name}: reduction {reduction:.1%} < target "
-                            f"{TARGET_REDUCTION:.0%}")
-
-    print(f"\nforward-pass pooling (serial model, target >= "
-          f"{FORWARD_TARGET_REDUCTION:.0%} fewer transient bytes per forward)")
-    forward_results = []
-    for name, factory in sorted(WORKLOADS.items()):
-        unpooled = _measure_forward_mode(factory, steps, pooled=False)
-        pooled = _measure_forward_mode(factory, steps, pooled=True)
-        reduction = 1.0 - pooled / unpooled if unpooled else 0.0
-        forward_results.append({
-            "workload": name,
-            "unpooled_bytes_per_forward": unpooled,
-            "pooled_bytes_per_forward": pooled,
-            "reduction": reduction,
-        })
-        print(f"  {name:16s} unpooled {unpooled / 1024:8.1f} KiB/forward  "
-              f"pooled {pooled / 1024:8.1f} KiB/forward  "
-              f"reduction {reduction:6.1%}")
-        if reduction < FORWARD_TARGET_REDUCTION:
-            failures.append(f"forward/{name}: reduction {reduction:.1%} < "
-                            f"target {FORWARD_TARGET_REDUCTION:.0%}")
+    step_results = _section(
+        f"memory benchmark: transient bytes per fused device-step (B={COHORT} "
+        f"devices, batch {BATCH_SIZE}, {steps} measured steps)",
+        "device_step", _measure_step, STEP_CEILINGS, steps, failures)
+    forward_results = _section(
+        "\ntransient bytes per serial training forward",
+        "forward", _measure_forward, FORWARD_CEILINGS, steps, failures)
 
     payload = {
         "benchmark": "memory",
@@ -249,11 +197,10 @@ def main(argv=None) -> int:
         "num_classes": NUM_CLASSES,
         "warmup_steps": WARMUP_STEPS,
         "measured_steps": steps,
-        "metric": "tracemalloc peak minus steady-state baseline, per fused device-step",
-        "workloads": results,
-        "forward_pooling": forward_results,
-        "targets": {"reduction": TARGET_REDUCTION,
-                    "forward_reduction": FORWARD_TARGET_REDUCTION},
+        "metric": "tracemalloc peak minus steady-state baseline, per fused "
+                  "device-step and per serial training forward",
+        "workloads": step_results,
+        "forward": forward_results,
         "failures": failures,
         **bench_environment(),
         "numpy": np.__version__,
@@ -265,7 +212,7 @@ def main(argv=None) -> int:
     print(f"\nwrote {output}")
 
     if failures and not enforce:
-        print("targets not enforced under --quick; would have failed:")
+        print("ceilings not enforced under --quick; would have failed:")
         for failure in failures:
             print(f"  - {failure}")
         return 0
@@ -274,8 +221,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print(f"ok: optimized path allocates >= {TARGET_REDUCTION:.0%} less transient "
-          f"memory per fused device-step for all workloads")
+    print("ok: every workload stays within its transient-byte ceilings")
     return 0
 
 

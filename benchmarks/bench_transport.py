@@ -2,21 +2,36 @@
 
 Runs a FedZKT simulation (sharded server update, ``process:2``) and records,
 per round, what the execution backend actually shipped across process
-boundaries (``shipped_bytes``: published blobs + worker cache-miss fetches +
-task pickles + context publishes) against what the pre-store wire format
+boundaries (``shipped_bytes``) against what the pre-store wire format
 would have shipped (``inline_equivalent_bytes``: one full payload inlined
 into every task that references it).  Phase 1 of the server update is the
 stress case: the same teacher states used to be re-shipped inside every
 forward/VJP shard task of every synthesis iteration; the store publishes
 them once per round.
 
-The benchmark **asserts** its two regression guards (exit code 1 on
+What ``shipped_bytes`` counts depends on the backend:
+
+* ``process:N`` — published blobs + worker cache-miss fetches + task
+  pickles + context publishes.  Task *results* return through the process
+  pool and are not counted.
+* ``tcp://…`` — all of the above, plus the result frames workers send back
+  (``result_bytes``) and the blobs they upload.  Result bytes also enter
+  ``inline_equivalent_bytes``, but the store cannot shrink them, so the
+  same workload reports a smaller reduction on tcp.  On a 2-core x86_64
+  host the two measured rounds read 12.7x and 13.1x on ``process:2`` but
+  9.2x and 8.9x on ``tcp://127.0.0.1:0?workers=2``, where 12.3 MB of
+  result bytes cross the wire over 3 rounds.  The 10x target is set for
+  ``process:N``.
+
+The benchmark **asserts** its three regression guards (exit code 1 on
 violation, so CI fails loudly):
 
 * ≥ {TARGET_REDUCTION}x reduction in shipped bytes per measured round;
 * teacher-state worker-cache hit rate ≥ {TARGET_HIT_RATE:.0%} after the
   warm-up round;
-* the worker pool is never respawned — not even on a context change.
+* the worker pool is never respawned — not even on a context change.  On
+  ``process:N`` that is the backend's ``pool_restarts``; on ``tcp://…`` it
+  is ``server_starts`` (the server and its spawned workers start once).
 
 Not a pytest file on purpose (no ``test_`` prefix): run it directly with
 
@@ -67,6 +82,13 @@ def _config(iterations: int, rounds: int) -> FederatedConfig:
                             noise_dim=16, device_distill_lr=0.02, server_shards=2,
                             global_steps_per_generator_step=1),
     )
+
+
+def _pool_starts(backend) -> int:
+    """How often the backend built its worker pool (tcp: its server)."""
+    if hasattr(backend, "pool_restarts"):
+        return backend.pool_restarts
+    return getattr(backend, "server_starts", 0)
 
 
 def _delta(after: dict, before: dict, key: str) -> int:
@@ -150,15 +172,14 @@ def main(argv=None) -> int:
                 before = after
 
             final = backend.transport_stats()
-            pool_restarts = int(final.get("pool_restarts", 0))
+            pool_restarts = _pool_starts(backend)
             if pool_restarts > 1:
                 failures.append(f"pool respawned: {pool_restarts} pool starts for one run")
 
         # A context change on the live pool must re-publish, not respawn.
-        if hasattr(backend, "pool_restarts"):
-            backend.start(WorkerContext(models={}, shards={}, train_configs={}))
-            if backend.pool_restarts != pool_restarts:
-                failures.append("context change respawned the worker pool")
+        backend.start(WorkerContext(models={}, shards={}, train_configs={}))
+        if _pool_starts(backend) != pool_restarts:
+            failures.append("context change respawned the worker pool")
 
     payload = {
         "benchmark": "transport",

@@ -30,13 +30,12 @@ def bench_environment() -> dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": platform.python_version(),
-        # BLAS/threading context: fused-cohort and fused-eval numbers depend
-        # on how many threads the BLAS and the slice-split are allowed, so
-        # the knobs ride along with every payload.
+        # BLAS threading context: fused-cohort and fused-eval numbers depend
+        # on how many threads the BLAS is allowed, so the knobs ride along
+        # with every payload.
         "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "mkl_num_threads": os.environ.get("MKL_NUM_THREADS"),
-        "repro_slice_threads": os.environ.get("REPRO_SLICE_THREADS"),
     }
 
 

@@ -565,12 +565,13 @@ class ExecutionBackend:
         ``inline_equivalent_bytes`` is what the pre-store wire format would
         have shipped (payloads inlined into every task); ``shipped_bytes``
         is what actually crossed a process boundary (zero for in-process
-        backends).
+        backends).  Which transfers count differs by backend: tcp counts
+        result frames, the process pool does not (see "State transport" in
+        ``docs/architecture.md``).
         """
         store = self.state_store
         stats: Dict[str, object] = dict(store.stats()) if store is not None else {}
         stats["backend"] = self.name
-        stats["pool_restarts"] = getattr(self, "pool_restarts", 0)
         stats.setdefault("task_bytes", 0)
         stats["shipped_bytes"] = (int(stats.get("published_bytes", 0))
                                   + int(stats.get("fetched_bytes", 0)))
@@ -952,6 +953,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def transport_stats(self) -> Dict[str, object]:
         stats = super().transport_stats()
+        stats["pool_restarts"] = self.pool_restarts
         stats["task_bytes"] = self._task_bytes
         stats["tasks_shipped"] = self._tasks_shipped
         stats["context_published_bytes"] = self._context_published_bytes

@@ -22,12 +22,11 @@ untouched per-device tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn.batched import (
-    BatchedEvaluator,
     BatchedModule,
     BatchedSGD,
     batched_cross_entropy,
@@ -300,8 +299,8 @@ class FusedLocalTrainTask:
 @dataclass
 class _FusedForwardTask:
     """Shared plumbing of the fused no-grad tasks: per-device state payloads
-    plus the chunked dataset sweep through a :class:`BatchedEvaluator`
-    (which applies the opt-in ``REPRO_SLICE_THREADS`` cohort-axis split)."""
+    plus the chunked dataset sweep through one eval-mode
+    :class:`BatchedModule`."""
 
     device_ids: List[int]
     states: List[object]  # StateRef | state dict | packed bytes, per device
@@ -316,10 +315,20 @@ class _FusedForwardTask:
     def __setstate__(self, payload):
         self.__dict__.update(payload)
 
-    def _evaluator(self, context: WorkerContext) -> BatchedEvaluator:
+    def _sweep(self, context: WorkerContext, dataset) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(start, logits)`` per ``batch_size`` chunk of ``dataset``.
+
+        Each chunk's input batch is shared by all B devices: it is
+        broadcast (not copied) onto the cohort axis, and ``logits`` is the
+        stacked ``(B, N, C)`` eval forward.
+        """
         template = context.model_for(self.device_ids[0])
         states = [resolve_state(value) for value in self.states]
-        return BatchedEvaluator(template, states)
+        module = BatchedModule(template, states, requires_grad=False).eval()
+        width = len(states)
+        for start in range(0, len(dataset), self.batch_size):
+            images = np.asarray(dataset.images[start:start + self.batch_size])
+            yield start, module.predict(np.broadcast_to(images, (width,) + images.shape))
 
 
 class FusedEvaluateTask(_FusedForwardTask):
@@ -340,13 +349,11 @@ class FusedEvaluateTask(_FusedForwardTask):
         batch = len(self.device_ids)
         correct = [0.0] * batch
         total = 0
-        with self._evaluator(context) as evaluator:
-            for start in range(0, len(dataset), self.batch_size):
-                labels = dataset.labels[start:start + self.batch_size]
-                logits = evaluator.predict(dataset.images[start:start + self.batch_size])
-                for b in range(batch):
-                    correct[b] += accuracy(logits[b], labels) * len(labels)
-                total += len(labels)
+        for start, logits in self._sweep(context, dataset):
+            labels = dataset.labels[start:start + self.batch_size]
+            for b in range(batch):
+                correct[b] += accuracy(logits[b], labels) * len(labels)
+            total += len(labels)
         return [float(value / total) if total else 0.0 for value in correct]
 
 
@@ -360,11 +367,7 @@ class FusedPublicLogitsTask(_FusedForwardTask):
             raise RuntimeError("public-logits task requires a public dataset in the worker context")
         dataset = context.public_dataset
         batch = len(self.device_ids)
-        chunks: List[np.ndarray] = []
-        with self._evaluator(context) as evaluator:
-            for start in range(0, len(dataset), self.batch_size):
-                chunks.append(
-                    evaluator.predict(dataset.images[start:start + self.batch_size]))
+        chunks = [logits for _, logits in self._sweep(context, dataset)]
         return [np.concatenate([chunk[b] for chunk in chunks], axis=0)
                 for b in range(batch)]
 

@@ -1,9 +1,7 @@
 """Round schedulers: synchronous, deadline (straggler-aware), and async.
 
-The round loop used to live as one monolithic method inside
-``FederatedSimulation.run``.  This module turns it into a pluggable layer:
-a :class:`RoundScheduler` drives a *round engine* (the simulation) through
-explicit phases —
+The round loop is a pluggable layer: a :class:`RoundScheduler` drives a
+*round engine* (the simulation) through explicit phases —
 
     sample → dispatch → collect → aggregate → broadcast → evaluate
 
@@ -227,9 +225,9 @@ class RoundScheduler:
 class SynchronousScheduler(RoundScheduler):
     """Lockstep rounds: every active upload joins this round's aggregation.
 
-    This is the historical ``FederatedSimulation.run`` behaviour, phase by
-    phase and in the same order, so its training histories are bit-identical
-    to the pre-scheduler loop (pinned by the parity tests).  The simulated
+    This is the historical lockstep round loop, phase by phase and in the
+    same order, so its training histories are bit-identical to the
+    pre-scheduler loop (pinned by the parity tests).  The simulated
     clock still advances — by the slowest active device's duration — which
     is what makes sync vs deadline vs async *time-to-accuracy* comparisons
     meaningful.

@@ -1,16 +1,12 @@
 """The ``Strategy`` protocol: federated algorithms as pluggable plugins.
 
 The paper's contribution (FedZKT) is *one algorithm among peers* — its
-experiments compare against FedAvg, FedMD, and standalone training.  Before
-this layer existed, each algorithm hard-wired its own simulation class
-(``FederatedSimulation`` for parameter-upload algorithms, ``FedMDSimulation``
-for logit consensus, a bespoke loop for standalone bounds), duck-typed
-against the scheduler's phase protocol.  A :class:`Strategy` inverts that:
-one generic :class:`~repro.federated.simulation.Simulation` engine owns the
+experiments compare against FedAvg, FedMD, and standalone training.  One
+generic :class:`~repro.federated.simulation.Simulation` engine owns the
 devices, execution backend, round scheduler, simulated clock, and training
-history, and delegates everything algorithm-specific to a strategy object —
-the same shape Flower's ``Strategy`` abstraction uses over its generic
-simulation engine.
+history, and delegates everything algorithm-specific to a
+:class:`Strategy` object — the same shape Flower's ``Strategy``
+abstraction uses over its generic simulation engine.
 
 Hook order for one scheduler round (``S`` = strategy hook, ``E`` = engine)::
 
@@ -188,9 +184,8 @@ class ParameterServerStrategy(Strategy):
     Devices train locally and upload their parameters; a
     :class:`~repro.federated.server.FederatedServer` aggregates them
     (:meth:`server_update`) and prepares per-device payloads that the
-    broadcast phase delivers.  This is exactly the phase protocol the old
-    ``FederatedSimulation`` hard-wired; algorithm subclasses normally only
-    declare capabilities and a constructor.
+    broadcast phase delivers.  Algorithm subclasses normally only declare
+    capabilities and a constructor.
 
     Parameters
     ----------

@@ -10,21 +10,12 @@ and the classification / distillation losses (:mod:`repro.nn.losses`).
 from . import batched, buffers, conv, functional, init, losses, optim
 from .batched import (
     BatchedAdam,
-    BatchedEvaluator,
     BatchedModule,
     BatchedSGD,
     UnfusableModelError,
     fusion_signature,
-    slice_thread_count,
 )
-from .buffers import (
-    BufferPool,
-    forward_pooling_enabled,
-    pooling_enabled,
-    scratch_pool,
-    set_forward_pooling,
-    set_pooling,
-)
+from .buffers import BufferPool, scratch_pool
 from .policy import (
     NUMERIC_POLICIES,
     NumericPolicy,
@@ -53,16 +44,7 @@ from .layers import (
 )
 from .module import Module, ModuleList, Parameter, Sequential
 from .optim import SGD, Adam, MultiStepLR, StepLR
-from .tensor import (
-    Tensor,
-    allocation_free_enabled,
-    as_tensor,
-    concatenate,
-    is_grad_enabled,
-    no_grad,
-    set_allocation_free,
-    stack,
-)
+from .tensor import Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, stack
 
 __all__ = [
     "Tensor",
@@ -71,14 +53,8 @@ __all__ = [
     "stack",
     "no_grad",
     "is_grad_enabled",
-    "set_allocation_free",
-    "allocation_free_enabled",
     "BufferPool",
     "scratch_pool",
-    "set_pooling",
-    "pooling_enabled",
-    "set_forward_pooling",
-    "forward_pooling_enabled",
     "NumericPolicy",
     "NUMERIC_POLICIES",
     "numeric_policy",
@@ -110,12 +86,10 @@ __all__ = [
     "MultiStepLR",
     "StepLR",
     "BatchedAdam",
-    "BatchedEvaluator",
     "BatchedModule",
     "BatchedSGD",
     "UnfusableModelError",
     "fusion_signature",
-    "slice_thread_count",
     "batched",
     "buffers",
     "conv",

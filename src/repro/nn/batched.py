@@ -41,9 +41,7 @@ serial path would.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -58,7 +56,6 @@ from .tensor import Tensor, no_grad
 
 __all__ = [
     "BatchedAdam",
-    "BatchedEvaluator",
     "BatchedModule",
     "BatchedSGD",
     "UnfusableModelError",
@@ -70,7 +67,6 @@ __all__ = [
     "batched_mse_loss",
     "fusion_signature",
     "register_batched_adapter",
-    "slice_thread_count",
     "stack_states",
     "supports_padded_fusion",
     "unstack_states",
@@ -683,84 +679,6 @@ class BatchedModule:
         if was_training:
             self.train()
         return out.data
-
-
-def slice_thread_count(batch_size: int) -> int:
-    """Worker-thread count for splitting a fused forward across cohort slices.
-
-    Opt-in via ``REPRO_SLICE_THREADS`` (unset, empty, or ``<= 1`` keeps the
-    single-threaded fused path); capped at the cohort size, since a slice is
-    the smallest independent unit of work.
-    """
-    raw = os.environ.get("REPRO_SLICE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(threads, int(batch_size)))
-
-
-class BatchedEvaluator:
-    """No-grad fused inference over a cohort, optionally split across threads.
-
-    Builds one eval-mode :class:`BatchedModule` over the cohort's states —
-    or, when ``REPRO_SLICE_THREADS`` requests more than one worker, one
-    module per contiguous chunk of the leading cohort axis, driven through a
-    :class:`~concurrent.futures.ThreadPoolExecutor`.  Cohort slices are
-    fully independent (every batched op is bitwise equal per slice
-    regardless of the cohort size, and numpy releases the GIL inside the
-    BLAS kernels), so the split changes wall-clock only, never bits.
-
-    The shared input batch is broadcast — not copied — onto each chunk's
-    leading axis; downstream reshapes materialize per-chunk copies exactly
-    where the fused ops need contiguous layouts.
-    """
-
-    def __init__(self, template: Module, states: Sequence[Dict[str, np.ndarray]]) -> None:
-        total = len(states)
-        threads = slice_thread_count(total)
-        bounds: List[Tuple[int, int]] = []
-        base, extra = divmod(total, threads)
-        start = 0
-        for index in range(threads):
-            stop = start + base + (1 if index < extra else 0)
-            if stop > start:
-                bounds.append((start, stop))
-            start = stop
-        self.batch_size = total
-        self._bounds = bounds
-        self._modules = [
-            BatchedModule(template, list(states[lo:hi]), requires_grad=False).eval()
-            for lo, hi in bounds
-        ]
-        self._executor = (ThreadPoolExecutor(max_workers=len(bounds))
-                          if len(bounds) > 1 else None)
-
-    def predict(self, images: np.ndarray) -> np.ndarray:
-        """Stacked logits ``(B, N, C)`` for one input batch shared by all slices."""
-        images = np.asarray(images)
-
-        def chunk(module: BatchedModule, width: int) -> np.ndarray:
-            return module.predict(np.broadcast_to(images, (width,) + images.shape))
-
-        if self._executor is None:
-            return chunk(self._modules[0], self.batch_size)
-        futures = [self._executor.submit(chunk, module, hi - lo)
-                   for module, (lo, hi) in zip(self._modules, self._bounds)]
-        return np.concatenate([future.result() for future in futures], axis=0)
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "BatchedEvaluator":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
 
 
 class BatchedSGD(SGD):

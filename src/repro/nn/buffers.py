@@ -4,7 +4,9 @@ The conv/linear backward passes allocate the same large temporaries every
 step — im2col column matrices, padded image planes, gradient-column
 products.  :class:`BufferPool` keeps a small free-list of such arrays
 keyed by ``(shape, dtype)`` so steady-state training reuses one set of
-buffers instead of churning the allocator.
+buffers instead of churning the allocator.  Training forwards draw their
+outputs (matmul, conv, elementwise and activation results) from the same
+pool; ``Tensor.backward`` reclaims them with the intermediate gradients.
 
 Lifecycle rules (see ``docs/architecture.md`` → "Buffer lifecycle &
 numeric policy"):
@@ -37,8 +39,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["BufferPool", "scratch_pool", "set_pooling", "pooling_enabled",
-           "set_forward_pooling", "forward_pooling_enabled"]
+__all__ = ["BufferPool", "scratch_pool"]
 
 
 class BufferPool:
@@ -52,16 +53,14 @@ class BufferPool:
 
     def __init__(self, max_per_key: int = 32) -> None:
         self.max_per_key = int(max_per_key)
-        self.enabled = True
         self._free: Dict[Tuple[Tuple[int, ...], np.dtype], List[np.ndarray]] = {}
 
     def acquire(self, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """An uninitialized array of the requested shape (reused when possible)."""
         key = (tuple(int(s) for s in shape), np.dtype(dtype))
-        if self.enabled:
-            stack = self._free.get(key)
-            if stack:
-                return stack.pop()
+        stack = self._free.get(key)
+        if stack:
+            return stack.pop()
         return np.empty(key[0], dtype=key[1])
 
     def release(self, buffer: np.ndarray) -> None:
@@ -71,7 +70,7 @@ class BufferPool:
         garbage collector (their base may outlive them, and pooling a view
         could alias live data).
         """
-        if not self.enabled or buffer.base is not None or not buffer.flags.writeable:
+        if buffer.base is not None or not buffer.flags.writeable:
             return
         key = (buffer.shape, buffer.dtype)
         stack = self._free.setdefault(key, [])
@@ -99,51 +98,3 @@ def scratch_pool() -> BufferPool:
     if _POOL.pool is None:
         _POOL.pool = BufferPool()
     return _POOL.pool
-
-
-def set_pooling(enabled: bool) -> bool:
-    """Enable/disable buffer reuse on this thread's pool; returns the old value.
-
-    Used by ``benchmarks/bench_memory.py`` to A/B the allocating baseline
-    against the pooled path.  Disabling also drops the free-lists.
-    """
-    pool = scratch_pool()
-    previous = pool.enabled
-    pool.enabled = bool(enabled)
-    if not pool.enabled:
-        pool.reset()
-    return previous
-
-
-def pooling_enabled() -> bool:
-    """Whether this thread's pool currently reuses buffers."""
-    return scratch_pool().enabled
-
-
-# Forward-pass pooling rides on top of the pool switch above: training
-# forwards write matmul/conv/activation outputs into pooled buffers that
-# ``Tensor.backward`` reclaims with the intermediate gradients.  This
-# per-thread sub-switch exists so ``benchmarks/bench_memory.py`` can isolate
-# the forward-pooling delta from the (older) backward pooling; users get
-# the single ``set_pooling`` knob, which gates both.
-class _ForwardLocal(threading.local):
-    enabled = True
-
-
-_FORWARD = _ForwardLocal()
-
-
-def set_forward_pooling(enabled: bool) -> bool:
-    """Toggle forward-output pooling on this thread; returns the old value.
-
-    Only effective while :func:`pooling_enabled` is True — ``set_pooling(False)``
-    restores the legacy allocate-per-op forward regardless of this switch.
-    """
-    previous = _FORWARD.enabled
-    _FORWARD.enabled = bool(enabled)
-    return previous
-
-
-def forward_pooling_enabled() -> bool:
-    """Whether training forwards feed their outputs from the pool (this thread)."""
-    return _FORWARD.enabled and scratch_pool().enabled

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .buffers import forward_pooling_enabled, scratch_pool
+from .buffers import scratch_pool
 from .policy import policy_dtype
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "as_tensor",
     "concatenate",
     "stack",
-    "set_allocation_free",
-    "allocation_free_enabled",
 ]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
@@ -56,28 +54,6 @@ class _GradMode(threading.local):
 
 
 _GRAD_MODE = _GradMode()
-
-# Allocation policy for gradient accumulation.  The allocation-free path
-# (the default) adds in place into an existing ``.grad`` buffer and adopts
-# freshly allocated closure outputs on first accumulation; the legacy path
-# reproduces the historical allocate-and-copy behaviour.  Both compute
-# bit-identical values (``a += b`` and ``a = a + b`` are the same IEEE-754
-# additions) — the switch exists so ``benchmarks/bench_memory.py`` can
-# measure the allocation delta, not because results differ.
-_ALLOC_FREE = True
-
-
-def set_allocation_free(enabled: bool) -> bool:
-    """Toggle the allocation-free accumulation fast path; returns the old value."""
-    global _ALLOC_FREE
-    previous = _ALLOC_FREE
-    _ALLOC_FREE = bool(enabled)
-    return previous
-
-
-def allocation_free_enabled() -> bool:
-    """Whether gradient accumulation uses the allocation-free fast path."""
-    return _ALLOC_FREE
 
 
 class no_grad:
@@ -135,9 +111,7 @@ def _forward_buffer(shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
     op-level callers that know their buffer lifetimes (the fused inference
     path, conv's im2col staging) manage the pool directly instead.
     """
-    if not (_ALLOC_FREE and _GRAD_MODE.enabled and forward_pooling_enabled()):
-        return None
-    if np.dtype(dtype) != policy_dtype():
+    if not _GRAD_MODE.enabled or np.dtype(dtype) != policy_dtype():
         return None
     return scratch_pool().acquire(shape, dtype)
 
@@ -156,9 +130,7 @@ def _forward_buffer_like(arr: np.ndarray) -> Optional[np.ndarray]:
     """
     if arr.flags.c_contiguous:
         return _forward_buffer(arr.shape, arr.dtype)
-    if not (_ALLOC_FREE and _GRAD_MODE.enabled and forward_pooling_enabled()):
-        return None
-    if np.dtype(arr.dtype) != policy_dtype():
+    if not _GRAD_MODE.enabled or np.dtype(arr.dtype) != policy_dtype():
         return None
     order = sorted(range(arr.ndim), key=lambda axis: (-arr.strides[axis], axis))
     base = scratch_pool().acquire(tuple(arr.shape[axis] for axis in order),
@@ -306,11 +278,11 @@ class Tensor:
     def retain_data(self) -> None:
         """Keep this tensor's ``.data`` through ``backward()``'s cleanup.
 
-        When forward pooling is active, intermediate outputs produced into
-        pooled buffers are reclaimed once backward finishes (nothing in the
-        graph reads them again).  Call this before ``backward()`` on any
-        intermediate whose payload must stay readable afterwards — e.g. a
-        synthesized batch that is re-used as data after the generator step.
+        Training-forward outputs produced into pooled buffers are reclaimed
+        once backward finishes (nothing in the graph reads them again).
+        Call this before ``backward()`` on any intermediate whose payload
+        must stay readable afterwards — e.g. a synthesized batch that is
+        re-used as data after the generator step.
         """
         self._retain_data = True
 
@@ -395,46 +367,33 @@ class Tensor:
             owned = True
         buffer = self.grad
         if buffer is None:
-            if _ALLOC_FREE and owned and array.flags.writeable:
+            if owned and array.flags.writeable:
                 self.grad = array
             else:
-                pool = scratch_pool()
-                if _ALLOC_FREE and pool.enabled:
-                    # First accumulation of a shared/viewed gradient: copy
-                    # into pooled storage instead of a fresh allocation.
-                    # The buffer returns to the pool when ``backward()``
-                    # reclaims intermediate gradients.
-                    copy = pool.acquire(array.shape, array.dtype)
-                    np.copyto(copy, array)
-                    self.grad = copy
-                else:
-                    self.grad = array.copy()
-        elif _ALLOC_FREE:
-            buffer += array
+                # First accumulation of a shared/viewed gradient: copy
+                # into pooled storage instead of a fresh allocation.
+                # The buffer returns to the pool when ``backward()``
+                # reclaims intermediate gradients.
+                copy = scratch_pool().acquire(array.shape, array.dtype)
+                np.copyto(copy, array)
+                self.grad = copy
         else:
-            self.grad = buffer + array
+            buffer += array
 
     def _accumulate_pooled(self, shape: Tuple[int, ...],
-                           fill: Callable[[np.ndarray], None],
-                           fallback: Callable[[], np.ndarray]) -> None:
+                           fill: Callable[[np.ndarray], None]) -> None:
         """Accumulate a computed gradient contribution through pooled scratch.
 
         ``fill(buffer)`` must write the full contribution (shape ``shape``,
-        in this tensor's dtype) into ``buffer``; ``fallback()`` must compute
-        the identical values the historical allocating way.  On the
-        allocation-free path
-        the contribution lands either directly in a pooled buffer adopted as
-        ``.grad`` (first accumulation), in pooled scratch added in place
-        (subsequent accumulations), or in pooled scratch reduced by
-        ``_unbroadcast`` (broadcast operands).  Every branch performs the
-        same IEEE-754 operations in the same order as the fallback, so
-        trajectories stay bit-identical — only the allocation strategy
-        differs.
+        in this tensor's dtype) into ``buffer``.  The contribution lands
+        either directly in a pooled buffer adopted as ``.grad`` (first
+        accumulation), in pooled scratch added in place (subsequent
+        accumulations), or in pooled scratch reduced by ``_unbroadcast``
+        (broadcast operands).  Each ``fill`` performs the same IEEE-754
+        operations in the same order as the plain numpy expression it
+        replaces, so values match that expression bit for bit.
         """
         pool = scratch_pool()
-        if not (_ALLOC_FREE and pool.enabled):
-            self._accumulate(fallback(), owned=True)
-            return
         shape = tuple(int(s) for s in shape)
         dtype = self.data.dtype
         if shape != self.data.shape:
@@ -463,11 +422,7 @@ class Tensor:
         identical kernel as the allocating expression.
         """
         shape = np.broadcast_shapes(*(np.shape(operand) for operand in operands))
-        self._accumulate_pooled(
-            shape,
-            lambda out: ufunc(*operands, out=out),
-            lambda: ufunc(*operands),
-        )
+        self._accumulate_pooled(shape, lambda out: ufunc(*operands, out=out))
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
@@ -513,28 +468,32 @@ class Tensor:
             if node._backward is not None:
                 node._backward()
         # Release intermediate graph references so memory is reclaimed and the
-        # same leaves can participate in a fresh graph next step.  On the
-        # allocation-free path, intermediate gradient buffers also return to
-        # the thread's scratch pool: once a node's closure has propagated its
-        # gradient, nothing reads it again (leaves — parameters and probed
-        # inputs — keep theirs; so does the seed tensor backward ran from,
-        # and any node marked with :meth:`retain_grad`).  Forward outputs
+        # same leaves can participate in a fresh graph next step.  Intermediate
+        # gradient buffers also return to the thread's scratch pool: once a
+        # node's closure has propagated its gradient, nothing reads it again
+        # (leaves — parameters and probed inputs — keep theirs; so does the
+        # seed tensor backward ran from, and any node marked with
+        # :meth:`retain_grad`).  Forward outputs
         # produced into pooled buffers are reclaimed under the same rule —
         # the graph was their only reader; :meth:`retain_data` (or
         # :meth:`detach`) pins the ones that outlive backward.
         pool = scratch_pool()
-        reclaim = _ALLOC_FREE and pool.enabled
         for node in topo:
             if node is not self and node._backward is not None:
-                if reclaim and node.grad is not None and not node._retain_grad:
+                if node.grad is not None and not node._retain_grad:
                     pool.release(node.grad)
                     node.grad = None
-                if reclaim and node._pooled_data and not node._retain_data:
+                if node._pooled_data and not node._retain_data:
                     payload = node.data
                     pool.release(payload if payload.base is None else payload.base)
                     node._pooled_data = False
                 node._parents = ()
                 node._backward = None
+        # The seed keeps its gradient and payload but not its closure, which
+        # references the seed: left in place, that cycle (and whatever the
+        # closure captures) would wait for the cyclic garbage collector.
+        self._parents = ()
+        self._backward = None
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic
@@ -630,8 +589,8 @@ class Tensor:
                     a._accumulate_ufunc(np.divide, out.grad, b.data)
                 if b.requires_grad:
                     def fill(buffer: np.ndarray) -> None:
-                        # ((-g) * a) / b**2 — the literal op sequence of the
-                        # fallback expression, written into pooled scratch.
+                        # ((-g) * a) / b**2 — the literal op sequence of
+                        # ``-g * a / b ** 2``, written into pooled scratch.
                         square = scratch_pool().acquire(b.data.shape, b.data.dtype)
                         np.power(b.data, 2, out=square)
                         np.negative(out.grad, out=buffer)
@@ -639,9 +598,7 @@ class Tensor:
                         buffer /= square
                         scratch_pool().release(square)
 
-                    b._accumulate_pooled(
-                        out.grad.shape, fill,
-                        lambda: -out.grad * a.data / (b.data ** 2))
+                    b._accumulate_pooled(out.grad.shape, fill)
 
             return backward
 
@@ -664,13 +621,11 @@ class Tensor:
                     def fill(buffer: np.ndarray) -> None:
                         # ``a.data ** (exponent - 1)`` stays a plain power
                         # expression so numpy's scalar-exponent fast paths
-                        # (e.g. ``** 0.5`` -> sqrt) match the fallback.
+                        # (e.g. ``** 0.5`` -> sqrt) apply as usual.
                         np.multiply(out.grad, exponent, out=buffer)
                         buffer *= a.data ** (exponent - 1)
 
-                    a._accumulate_pooled(
-                        out.grad.shape, fill,
-                        lambda: out.grad * exponent * a.data ** (exponent - 1))
+                    a._accumulate_pooled(out.grad.shape, fill)
 
             return backward
 
@@ -949,9 +904,7 @@ class Tensor:
                         buffer *= complement
                         scratch_pool().release(complement)
 
-                    a._accumulate_pooled(
-                        out.grad.shape, fill,
-                        lambda: out.grad * value * (1.0 - value))
+                    a._accumulate_pooled(out.grad.shape, fill)
 
             return backward
 
@@ -971,9 +924,7 @@ class Tensor:
                         np.multiply(out.grad, complement, out=buffer)
                         scratch_pool().release(complement)
 
-                    a._accumulate_pooled(
-                        out.grad.shape, fill,
-                        lambda: out.grad * (1.0 - value ** 2))
+                    a._accumulate_pooled(out.grad.shape, fill)
 
             return backward
 
@@ -997,11 +948,7 @@ class Tensor:
                         np.subtract(grad, dot, out=buffer)
                         buffer *= value
 
-                    def fallback() -> np.ndarray:
-                        dot = (grad * value).sum(axis=axis, keepdims=True)
-                        return value * (grad - dot)
-
-                    a._accumulate_pooled(grad.shape, fill, fallback)
+                    a._accumulate_pooled(grad.shape, fill)
 
             return backward
 
@@ -1025,9 +972,7 @@ class Tensor:
                         np.multiply(softmax_value, total, out=buffer)
                         np.subtract(grad, buffer, out=buffer)
 
-                    a._accumulate_pooled(
-                        grad.shape, fill,
-                        lambda: grad - softmax_value * grad.sum(axis=axis, keepdims=True))
+                    a._accumulate_pooled(grad.shape, fill)
 
             return backward
 
@@ -1092,17 +1037,15 @@ def _matmul_accumulate(target: "Tensor", left: np.ndarray, right: np.ndarray) ->
     ``.grad`` outright — ``backward()`` reclaims intermediate gradient
     buffers into the pool once their closures have run, so adopted buffers
     cycle instead of leaking.  Operand combinations the ``out=`` form
-    cannot take (1-D operands, mixed or non-float payloads) use the
-    allocating fallback.
+    cannot take (1-D operands, mixed or non-float payloads) allocate the
+    product instead.
     """
-    if _ALLOC_FREE and left.ndim >= 2 and right.ndim >= 2 \
+    if left.ndim >= 2 and right.ndim >= 2 \
             and left.dtype == right.dtype and left.dtype.kind == "f" \
             and left.dtype == target.data.dtype:
         shape = np.broadcast_shapes(left.shape[:-2], right.shape[:-2]) \
             + (left.shape[-2], right.shape[-1])
-        target._accumulate_pooled(shape,
-                                  lambda out: np.matmul(left, right, out=out),
-                                  lambda: left @ right)
+        target._accumulate_pooled(shape, lambda out: np.matmul(left, right, out=out))
     else:
         target._accumulate(left @ right, owned=True)
 

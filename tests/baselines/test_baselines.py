@@ -62,11 +62,11 @@ class TestFedMD:
         assert np.abs(after).mean() < np.abs(before).mean()
 
     def test_requires_devices(self, micro_config, tiny_rgb_dataset, tiny_test_dataset):
-        from repro.baselines.fedmd import FedMDSimulation
+        from repro.baselines.fedmd import FedMDStrategy
+        from repro.federated import Simulation
 
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                FedMDSimulation([], tiny_rgb_dataset, micro_config, tiny_test_dataset)
+        with pytest.raises(ValueError, match="at least one device"):
+            Simulation([], micro_config, tiny_test_dataset, FedMDStrategy(tiny_rgb_dataset))
 
 
 class TestFedAvgFedProx:

@@ -93,12 +93,12 @@ def test_serial_and_process_backends_produce_identical_histories(algorithm):
 # --------------------------------------------------------------------------- #
 # Scheduler parity: the SynchronousScheduler must replay the pre-refactor
 # monolithic round loop bit for bit (ISSUE 2 acceptance criterion).  The
-# reference implementations below are verbatim transcriptions of the loops
-# that used to live inside FederatedSimulation.run_round and
-# FedMDSimulation.run_round/run before the scheduler layer existed.
+# reference implementations below are verbatim transcriptions of the
+# parameter-upload and FedMD round loops from before the scheduler layer
+# existed.
 # --------------------------------------------------------------------------- #
 def _reference_parameter_round(simulation, round_index):
-    """The pre-scheduler FederatedSimulation.run_round (FedZKT/FedAvg)."""
+    """The pre-scheduler parameter-upload round (FedZKT/FedAvg)."""
     simulation.ensure_backend()
     active = simulation.sampler.sample(round_index, len(simulation.devices))
 
@@ -132,7 +132,7 @@ def _reference_parameter_round(simulation, round_index):
 
 
 def _reference_fedmd_run(simulation, total_rounds):
-    """The pre-scheduler FedMDSimulation.run (warm-up + consensus rounds)."""
+    """The pre-scheduler FedMD run (warm-up + consensus rounds)."""
     from repro.federated.backend import DigestSpec, PublicLogitsTask
 
     simulation.ensure_backend()

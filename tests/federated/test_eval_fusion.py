@@ -162,14 +162,3 @@ class TestFusionFires:
         calls = self._count_runs(monkeypatch, cohort_mod.FusedEvaluateTask)
         _run("fedavg", fusion=False)
         assert calls["count"] == 0
-
-
-class TestSliceThreadedEval:
-    """REPRO_SLICE_THREADS splits the fused leading axis; bits must hold."""
-
-    def test_fedavg_threaded_slices_bit_identical(self, monkeypatch):
-        baseline, base_rng = _run("fedavg", fusion=True)
-        monkeypatch.setenv("REPRO_SLICE_THREADS", "3")
-        threaded, threaded_rng = _run("fedavg", fusion=True)
-        assert baseline == threaded
-        assert base_rng == threaded_rng
